@@ -436,8 +436,8 @@ func confBatchAnswers(nAnswers, blocks, window, perBlock int) (*formula.Space, [
 
 func benchConfBatch(b *testing.B, s *formula.Space, answers []pdb.Answer, pool int, cache bool) {
 	b.Helper()
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(pool)
+	defer workpool.Default.Resize(runtime.GOMAXPROCS(0))
+	workpool.Default.Resize(pool)
 	var ev engine.Evaluator = engine.Exact{}
 	if cache {
 		// One cache shared across iterations: the steady state of a
@@ -498,18 +498,16 @@ func BenchmarkParallelExact(b *testing.B) {
 	}
 	for _, cfg := range []struct {
 		name string
-		seq  bool
 		pool int
 	}{
-		{"sequential", true, 1},
-		{"parallel", false, 8},
+		{"sequential", 1},
+		{"parallel", 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			defer workpool.Resize(runtime.GOMAXPROCS(0))
-			workpool.Resize(cfg.pool)
+			pool := workpool.New(cfg.pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Exact(s, d, core.Options{Sequential: cfg.seq}); err != nil {
+				if _, err := core.Exact(s, d, core.Options{Pool: pool}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -524,19 +522,17 @@ func BenchmarkParallelApproxRandomGraph(b *testing.B) {
 	s, d := ablationInstance()
 	for _, cfg := range []struct {
 		name string
-		seq  bool
 		pool int
 	}{
-		{"sequential", true, 1},
-		{"parallel", false, 8},
+		{"sequential", 1},
+		{"parallel", 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			defer workpool.Resize(runtime.GOMAXPROCS(0))
-			workpool.Resize(cfg.pool)
+			pool := workpool.New(cfg.pool)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Approx(s, d, core.Options{
-					Eps: 0.01, Kind: core.Relative, Sequential: cfg.seq,
+					Eps: 0.01, Kind: core.Relative, Pool: pool,
 				}); err != nil {
 					b.Fatal(err)
 				}

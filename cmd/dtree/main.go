@@ -73,8 +73,7 @@ func main() {
 			MaxNodes: *maxNodes,
 			Timeout:  *timeout,
 		},
-		Sequential: *seq,
-		Global:     *global,
+		Global: *global,
 	}
 	if *relative {
 		ev.Kind = engine.Relative
@@ -82,13 +81,17 @@ func main() {
 	if *exact {
 		ev.Eps = 0
 	}
+	if *seq {
+		ev.Pool = workpool.New(1)
+	}
 	var reg *obs.Metrics
 	if *metrics {
 		reg = obs.NewMetrics()
 		ev.Metrics = reg
-		pool := workpool.New(workpool.Parallelism())
-		pool.SetMetrics(reg)
-		ev.Pool = pool
+		if ev.Pool == nil {
+			ev.Pool = workpool.New(workpool.Parallelism())
+		}
+		ev.Pool.SetMetrics(reg)
 	}
 
 	ctx := context.Background()

@@ -44,7 +44,7 @@ func main() {
 	flag.Parse()
 
 	if *parallel > 0 {
-		workpool.Resize(*parallel)
+		workpool.Default.Resize(*parallel)
 	}
 
 	p := exp.Params{

@@ -54,9 +54,8 @@
 //
 //   - DB — the long-lived root: the probability space, the registered
 //     relations, the pool of hash-consing clause interners, and a
-//     private worker pool (db.Pool().Resize sizes it per DB; the old
-//     SetParallelism remains as a deprecated alias). NewDB(space,
-//     relations...).
+//     private worker pool (db.Pool().Resize sizes it per DB).
+//     NewDB(space, relations...).
 //   - Session — per-client scope: a subformula probability cache, a
 //     default Budget, a default Evaluator, an optional forced lineage
 //     shard count. db.Session(WithEps(1e-3), WithBudget(...),
@@ -80,11 +79,11 @@
 // nested ranking operators, ...) surface as BuildErrors from Build or
 // the first Run, never as planner panics.
 //
-// New code should use the façade; pre-built IR (such as the TPC-H
+// Queries run through the façade; pre-built IR (such as the TPC-H
 // catalog) runs through it via sess.Query(node). The flat re-exports
-// below remain for paper-faithful, single-algorithm use — entry points
-// the façade supersedes carry Deprecated pointers to their
-// equivalents, but keep working.
+// below serve paper-faithful, single-formula use: the d-tree and Monte
+// Carlo entry points, the Evaluator types, and the raw-lineage ranking
+// baseline.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for measured reproductions of every figure.
@@ -127,7 +126,7 @@ type (
 
 // D-tree algorithm types.
 type (
-	// Options configures Approx and Exact.
+	// Options configures Exact.
 	Options = core.Options
 	// Result reports bounds, estimate and statistics.
 	Result = core.Result
@@ -328,20 +327,6 @@ var (
 	NewClause = formula.NewClause
 	// NewDNF builds a normalized DNF.
 	NewDNF = formula.NewDNF
-	// Approx computes an ε-approximation of P(d) with guarantees
-	// (depth-first incremental compilation with leaf closing).
-	//
-	// Deprecated: run queries through the façade — DB.Session with
-	// WithEps derives the same evaluator (ApproxEval) with the
-	// session's budget and cache. Approx remains for paper-faithful
-	// single-formula use.
-	Approx = core.Approx
-	// ApproxGlobal is the global largest-interval-first variant.
-	//
-	// Deprecated: use a Session with WithEvaluator(ApproxEval{Global:
-	// true, ...}), or ApproxEval directly; ApproxGlobal remains for
-	// paper-faithful ablations.
-	ApproxGlobal = core.ApproxGlobal
 	// Exact computes P(d) exactly via exhaustive d-tree compilation.
 	Exact = core.Exact
 	// ExactProbability is Exact returning only the probability.
@@ -357,17 +342,6 @@ var (
 	// SproutPlan adapts an exact query-structural computation to the
 	// Evaluator API.
 	SproutPlan = engine.SproutPlan
-	// CompilePlan analyzes a plan IR and routes it to the cheapest
-	// applicable algorithm (safe plan, IQ scan, lineage + d-tree).
-	//
-	// Deprecated: compile through the façade — Session.Query(node)
-	// accepts pre-built IR and Build returns the routed Prepared plan
-	// with build-time validation; CompilePlan remains for standalone
-	// planner use.
-	CompilePlan = plan.Compile
-	// PlanFromLegacy bridges the declarative pdb.Query structs into the
-	// plan IR, so existing query definitions route through the planner.
-	PlanFromLegacy = plan.FromLegacy
 	// PlanLineage evaluates a plan with the pipelined runtime,
 	// returning answers with lineage DNFs.
 	PlanLineage = plan.Lineage
@@ -376,19 +350,6 @@ var (
 	NewInterner = formula.NewInterner
 	// NewRefiner prepares a lineage DNF for step-wise bound refinement.
 	NewRefiner = core.NewRefiner
-	// RankTopK returns the k most probable answers by interleaved bound
-	// refinement, pruning answers whose bounds separate early.
-	//
-	// Deprecated: use the façade — Query.TopK(k) on a Session streams
-	// the same scheduler's answers as they are proven (Run returns an
-	// iter.Seq2). RankTopK remains for ranking raw lineage DNFs
-	// outside a DB.
-	RankTopK = rank.TopK
-	// RankThreshold returns the answers with P ≥ τ, same machinery.
-	//
-	// Deprecated: use Query.Threshold(tau) on a Session, which streams
-	// proven members; RankThreshold remains for raw lineage DNFs.
-	RankThreshold = rank.Threshold
 	// RankRefineAll is the non-pruning baseline: every answer refined
 	// to its guarantee.
 	RankRefineAll = rank.RefineAll

@@ -18,27 +18,20 @@ import (
 )
 
 // TestEndToEndTPCH drives the full stack: generate a probabilistic
-// database, evaluate a query through the declarative builder, compute
+// database, evaluate a query with the eager relational algebra, compute
 // per-answer confidence with the conf() operator backed by the d-tree
 // algorithm, and cross-check against the SPROUT safe plan.
 func TestEndToEndTPCH(t *testing.T) {
 	db := tpch.Generate(tpch.Config{SF: 0.0006, ProbHigh: 1, Seed: 3})
 
-	q := &pdb.Query{
-		From: []pdb.FromItem{
-			{Rel: db.Supplier},
-			{
-				Rel: db.Lineitem,
-				Select: func(v []pdb.Value) bool {
-					return v[db.Lineitem.MustCol("l_shipdate")] < tpch.MaxDate/3
-				},
-				EquiLeft:  pdb.ColRef{Item: 0, Col: "s_suppkey"},
-				EquiRight: "l_suppkey",
-			},
-		},
-		Project: []pdb.ColRef{{Item: 0, Col: "s_suppkey"}},
+	suppkey := db.Supplier.MustCol("s_suppkey")
+	early := func(v []pdb.Value) bool {
+		return v[db.Lineitem.MustCol("l_shipdate")] < tpch.MaxDate/3
 	}
-	answers := q.Evaluate()
+	lsuppkey := db.Lineitem.MustCol("l_suppkey")
+	answers := pdb.GroupProject(
+		pdb.EquiJoin(db.Supplier, pdb.Select(db.Lineitem, early), suppkey, lsuppkey),
+		[]int{suppkey})
 	if len(answers) == 0 {
 		t.Skip("no answers at this scale")
 	}
@@ -64,10 +57,17 @@ func TestEndToEndTPCH(t *testing.T) {
 		}
 	}
 
-	// The same declarative query through the planner: FromLegacy carries
-	// the structured equality join, so the planner routes it to an exact
-	// safe plan — no lineage, no evaluator — with identical answers.
-	routed := plan.Compile(plan.FromLegacy(q))
+	// The same query as plan IR: the structured equality join lets the
+	// planner route it to an exact safe plan — no lineage, no evaluator
+	// — with identical answers.
+	routed := plan.Compile(&plan.GroupLineage{
+		Input: &plan.EquiJoin{
+			Left:    &plan.Scan{Rel: db.Supplier},
+			Right:   &plan.Select{Input: &plan.Scan{Rel: db.Lineitem}, Pred: early},
+			LeftCol: suppkey, RightCol: lsuppkey,
+		},
+		Cols: []int{suppkey},
+	})
 	if routed.Route != plan.RouteSafe {
 		t.Fatalf("planner chose %v (%s), want safe", routed.Route, routed.Why)
 	}
@@ -76,7 +76,7 @@ func TestEndToEndTPCH(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(planned) != len(answers) {
-		t.Fatalf("planner %d answers, legacy %d", len(planned), len(answers))
+		t.Fatalf("planner %d answers, eager %d", len(planned), len(answers))
 	}
 	for _, a := range planned {
 		want, ok := byKey[a.Vals[0]]

@@ -69,16 +69,12 @@ type Options struct {
 	// it must not be reused with a different Space.
 	Frags *formula.FragCache
 
-	// Sequential disables parallel exploration of independent d-tree
-	// branches. Parallel exploration is on by default and produces
-	// bitwise-identical results; Sequential exists for measurement and
-	// debugging.
-	Sequential bool
-
-	// Pool is the worker pool parallel exploration fans out on; nil
-	// means the shared workpool.Default. Callers that own a pool (the
-	// façade DB) thread it here so sizing one pool never affects
-	// evaluations running on another.
+	// Pool is the worker pool parallel exploration of independent
+	// d-tree branches fans out on; nil means the shared
+	// workpool.Default. Callers that own a pool (the façade DB) thread
+	// it here so sizing one pool never affects evaluations running on
+	// another. Parallel exploration produces bitwise-identical results;
+	// a pool of parallelism 1 (workpool.New(1)) runs sequentially.
 	Pool *workpool.Pool
 
 	// Metrics, when non-nil, receives this evaluation's cache traffic,
@@ -186,7 +182,7 @@ func ApproxCtx(ctx context.Context, s *formula.Space, d formula.DNF, opt Options
 // the "d-tree(error 0)" configuration of the experiments; it runs in
 // polynomial time on lineage of tractable queries (Section VI).
 // Independent branches are explored in parallel on the shared worker
-// pool (see internal/workpool) unless Options.Sequential is set.
+// pool (see internal/workpool) when it has more than one worker.
 func Exact(s *formula.Space, d formula.DNF, opt Options) (Result, error) {
 	return ExactCtx(context.Background(), s, d, opt)
 }
@@ -256,9 +252,9 @@ type state struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	// poisoned marks the evaluation as doomed: a sibling pool task
-	// panicked and the batch is unwinding, so every context poll reports
-	// cancellation and workers drain at the next stride instead of
-	// running their full course (see Pool.RunAbort).
+	// panicked or some branch saw the context end, so every poll
+	// reports the interrupt and exact-path workers drain at their next
+	// node instead of running their full course (see Pool.RunAbort).
 	poisoned atomic.Bool
 
 	closed         int
@@ -407,15 +403,22 @@ func (st *state) cachedProbErr(d formula.DNF, compute func() (float64, error)) (
 	return p, nil
 }
 
-// interrupted reports why evaluation should stop early: a sibling pool
-// task's contained panic (poisoned — reported as context.Canceled so
-// the batch drains promptly and the panic, rethrown by the pool, is the
-// error that surfaces) or the caller's context.
+// interrupted reports why evaluation should stop early: the caller's
+// context, or a sibling pool task's contained panic (poisoned without a
+// context error — reported as context.Canceled so the batch drains
+// promptly and the panic, rethrown by the pool, is the error that
+// surfaces). The first context error observed also poisons the
+// evaluation, so every other branch stops at its next node instead of
+// its next stride poll.
 func (st *state) interrupted() error {
+	if err := st.ctx.Err(); err != nil {
+		st.poisoned.Store(true)
+		return err
+	}
 	if st.poisoned.Load() {
 		return context.Canceled
 	}
-	return st.ctx.Err()
+	return nil
 }
 
 // poison is the RunAbort hook: flips every subsequent interrupted()
@@ -747,8 +750,9 @@ func (st *state) exactRec(d formula.DNF) (float64, error) {
 	// Poll the context on a stride of the shared node counter: checking
 	// every node would have all pool workers contending on the timer
 	// context's mutex. The first node still polls, so a dead context
-	// fails fast.
-	if n := st.nodes.Add(1); n%exactCtxStride == 1 {
+	// fails fast, and once any branch has seen an interrupt the poisoned
+	// flag stops every other branch at its next node.
+	if n := st.nodes.Add(1); st.poisoned.Load() || n%exactCtxStride == 1 {
 		if err := st.interruptedOrInjected(); err != nil {
 			return 0, err
 		}

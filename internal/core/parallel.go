@@ -17,7 +17,7 @@ const exactCtxStride = 256
 // parallelizable reports whether a group of sibling fragments should be
 // explored on the worker pool.
 func (st *state) parallelizable(subs []formula.DNF) bool {
-	if st.opt.Sequential || len(subs) < 2 || !st.pooled {
+	if len(subs) < 2 || !st.pooled {
 		return false
 	}
 	total := 0

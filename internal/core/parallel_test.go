@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -34,16 +33,16 @@ func hierarchicalDNF(groups, perGroup int, s *formula.Space) formula.DNF {
 // node counts) to the sequential path, because children are combined in
 // child-index order either way.
 func TestParallelMatchesSequential(t *testing.T) {
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(8) // force real fan-out even on single-CPU machines
+	seqPool := workpool.New(1)
+	parPool := workpool.New(8) // force real fan-out even on single-CPU machines
 
 	check := func(name string, s *formula.Space, d formula.DNF) {
 		t.Helper()
-		seq, err := Exact(s, d, Options{Sequential: true})
+		seq, err := Exact(s, d, Options{Pool: seqPool})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
 		}
-		par, err := Exact(s, d, Options{})
+		par, err := Exact(s, d, Options{Pool: parPool})
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
 		}
@@ -70,15 +69,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 // child preparation must leave the sequential refinement's bounds and
 // stop/close decisions unchanged.
 func TestParallelApproxMatchesSequential(t *testing.T) {
-	defer workpool.Resize(runtime.GOMAXPROCS(0))
-	workpool.Resize(8)
+	seqPool, parPool := workpool.New(1), workpool.New(8)
 	for seed := int64(1); seed <= 15; seed++ {
 		s, d := randdnf.Generate(randdnf.Config{
 			Vars: 40, Clauses: 70, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.95,
 		}, seed)
-		opt := Options{Eps: 0.01, Kind: Absolute}
+		opt := Options{Eps: 0.01, Kind: Absolute, Pool: parPool}
 		optSeq := opt
-		optSeq.Sequential = true
+		optSeq.Pool = seqPool
 		seq, errS := Approx(s, d, optSeq)
 		par, errP := Approx(s, d, opt)
 		if errS != nil || errP != nil {
@@ -144,5 +142,59 @@ func TestExactCacheAcrossRuns(t *testing.T) {
 	}
 	if plain.Estimate != first.Estimate {
 		t.Fatalf("cache-off %v != cache-on %v", plain.Estimate, first.Estimate)
+	}
+}
+
+// gridDNF builds the n×n bipartite grid lineage ∨ x_i ∧ e_ij ∧ y_j with
+// every probability 0.5: no independent-and or component split applies
+// at the root, so exact compilation runs far past any short deadline,
+// and its Shannon branches fan out on the pool.
+func gridDNF(n int) (*formula.Space, formula.DNF) {
+	s := formula.NewSpace()
+	xs, ys := make([]formula.Var, n), make([]formula.Var, n)
+	for i := range xs {
+		xs[i], ys[i] = s.AddBool(0.5), s.AddBool(0.5)
+	}
+	var d formula.DNF
+	for i := range xs {
+		for j := range ys {
+			e := s.AddBool(0.5)
+			d = append(d, formula.MustClause(formula.Pos(xs[i]), formula.Pos(e), formula.Pos(ys[j])))
+		}
+	}
+	return s, d
+}
+
+// TestDeadlineReturnsOnEveryPoolSize checks cancellation latency: a
+// live deadline must stop exact and approximate evaluation promptly on
+// any pool size. On a pool of two or more, the exact path must stop
+// every sibling branch of a parallel batch once one branch has seen
+// the deadline, not only the branch that polled it.
+func TestDeadlineReturnsOnEveryPoolSize(t *testing.T) {
+	s, d := gridDNF(20)
+	evals := []struct {
+		name string
+		run  func(context.Context, Options) (Result, error)
+	}{
+		{"Exact", func(ctx context.Context, opt Options) (Result, error) { return ExactCtx(ctx, s, d, opt) }},
+		{"Approx", func(ctx context.Context, opt Options) (Result, error) {
+			opt.Eps = 1e-9
+			return ApproxCtx(ctx, s, d, opt)
+		}},
+	}
+	for _, ev := range evals {
+		for _, n := range []int{1, 2, 4} {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			start := time.Now()
+			_, err := ev.run(ctx, Options{Pool: workpool.New(n)})
+			el := time.Since(start)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s pool %d: err = %v, want context.DeadlineExceeded", ev.name, n, err)
+			}
+			if el > 2*time.Second {
+				t.Errorf("%s pool %d: returned %v after start, deadline was 200ms", ev.name, n, el)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/formula"
 	"repro/internal/randdnf"
+	"repro/internal/workpool"
 )
 
 // refPrepOpt returns opt with both reference paths enabled: the
@@ -140,7 +141,7 @@ func TestApproxFragCacheMatchesReference(t *testing.T) {
 	frags := formula.NewFragCache(0)
 	for seed := int64(0); seed < 25; seed++ {
 		s, d := randdnf.Generate(randdnf.Default(), 7000+seed)
-		opt := Options{Eps: 0.01, Kind: Absolute, Sequential: true}
+		opt := Options{Eps: 0.01, Kind: Absolute, Pool: workpool.New(1)}
 		refRes, refErr := Approx(s, d, refPrepOpt(opt))
 		opt.Frags = frags
 		for run := 0; run < 2; run++ {
@@ -156,7 +157,7 @@ func TestApproxFragCacheMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if hits, _ := frags.Stats(); hits == 0 {
+	if frags.CacheStats().Hits == 0 {
 		t.Fatal("warm reruns produced no fragment-cache hits")
 	}
 }
@@ -173,7 +174,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 	s, big := randdnf.Generate(randdnf.Config{
 		Vars: 30, Clauses: 44, MaxWidth: 3, MaxDomain: 2, MinProb: 0.05, MaxProb: 0.6,
 	}, 9000)
-	opt := Options{Eps: 0.005, Kind: Absolute, Sequential: true}
+	opt := Options{Eps: 0.005, Kind: Absolute, Pool: workpool.New(1)}
 	type trace struct {
 		d formula.DNF
 		r Result
@@ -216,7 +217,7 @@ func TestFragCacheSharedAcrossConcurrentEvaluations(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if hits, misses := frags.Stats(); hits == 0 || misses == 0 {
-		t.Fatalf("degenerate sharing: hits=%d misses=%d", hits, misses)
+	if st := frags.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("degenerate sharing: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 }

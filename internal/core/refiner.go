@@ -27,7 +27,7 @@ import (
 // guarantee (Eps 0 refines to an exact — point — interval), Cache
 // memoizes exact subformula probabilities and may be shared across
 // Refiners over the same Space, and leaf preparation fans out on the
-// shared worker pool unless Sequential is set. MaxNodes/MaxWork bound
+// worker pool when it has more than one worker. MaxNodes/MaxWork bound
 // this Refiner's cumulative work across all Steps; exhausting them
 // surfaces ErrBudget through Err.
 //

@@ -146,10 +146,9 @@ type Exact struct {
 	// Cache, when non-nil, memoizes subformula probabilities across
 	// evaluations sharing it (same Space only).
 	Cache *formula.ProbCache
-	// Sequential disables parallel branch exploration.
-	Sequential bool
 	// Pool is the worker pool parallel exploration fans out on; nil
-	// means the shared workpool.Default.
+	// means the shared workpool.Default, and a pool of one
+	// (workpool.New(1)) explores sequentially.
 	Pool *workpool.Pool
 	// Metrics, when non-nil, receives the evaluation's cache traffic
 	// and budget exhaustions (nil-safe, see obs.Metrics).
@@ -166,7 +165,7 @@ func (e Exact) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (R
 	res, err := core.ExactCtx(ctx, s, d, core.Options{
 		Order:    e.Order,
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Cache: e.Cache, Sequential: e.Sequential, Pool: e.Pool,
+		Cache: e.Cache, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	})
 	return fromCore(res), err
@@ -191,10 +190,9 @@ type Approx struct {
 	// (normalized/reduced form, heuristic bounds, component partition)
 	// across evaluations sharing it — same Space only, like Cache.
 	Frags *formula.FragCache
-	// Sequential disables parallel exploration.
-	Sequential bool
 	// Pool is the worker pool parallel exploration fans out on; nil
-	// means the shared workpool.Default.
+	// means the shared workpool.Default, and a pool of one
+	// (workpool.New(1)) explores sequentially.
 	Pool *workpool.Pool
 	// Metrics, when non-nil, receives the evaluation's cache traffic
 	// and budget exhaustions (nil-safe, see obs.Metrics).
@@ -213,7 +211,7 @@ func (e Approx) Evaluate(ctx context.Context, s *formula.Space, d formula.DNF) (
 	opt := core.Options{
 		Eps: e.Eps, Kind: e.Kind, Order: e.Order,
 		MaxNodes: e.Budget.MaxNodes, MaxWork: e.Budget.MaxWork,
-		Cache: e.Cache, Frags: e.Frags, Sequential: e.Sequential, Pool: e.Pool,
+		Cache: e.Cache, Frags: e.Frags, Pool: e.Pool,
 		Metrics: e.Metrics, Inject: e.Inject,
 	}
 	var res core.Result

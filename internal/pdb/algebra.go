@@ -208,7 +208,7 @@ func concatVals(a, b []Value) []Value {
 // ('|' then 8 little-endian bytes). GroupProject groups and orders
 // answers by concatenations of this encoding; the plan runtime and the
 // safe-plan executor share it so routed answer order never diverges
-// from the legacy evaluator's.
+// from GroupProject's.
 func WriteValueKey(b *strings.Builder, v Value) {
 	u := uint64(v)
 	var buf [9]byte

@@ -261,3 +261,61 @@ func TestDerivedNamesDeterministicAndBounded(t *testing.T) {
 		t.Fatalf("Select name %q", got)
 	}
 }
+
+// The tests below evaluate small conjunctive queries end to end through
+// the eager algebra, which is the reference the planner's pipelined
+// runtime is checked against.
+
+func TestQueryBoolean(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	sel := Select(r, func(v []Value) bool { return v[1] == 20 })
+	lin, any := BooleanAnswer(EquiJoin(sel, u, 1, 0))
+	if !any {
+		t.Fatal("boolean query returned no answer")
+	}
+	// Manual: rows (2,20),(3,20) joined with (20,200),(20,300).
+	if len(lin) != 4 {
+		t.Fatalf("lineage %d clauses, want 4", len(lin))
+	}
+}
+
+func TestQueryBooleanEmpty(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	sel := Select(r, func(v []Value) bool { return false })
+	if lin, any := BooleanAnswer(EquiJoin(sel, u, 1, 0)); any {
+		t.Fatalf("expected no answer, got %v", lin)
+	}
+}
+
+func TestQueryThetaJoin(t *testing.T) {
+	s := formula.NewSpace()
+	r := NewTupleIndependent(s, "R", []string{"x"},
+		[][]Value{{1}, {5}, {9}}, []float64{0.5, 0.5, 0.5}, 0)
+	u := NewTupleIndependent(s, "U", []string{"y"},
+		[][]Value{{3}, {7}}, []float64{0.5, 0.5}, 1)
+	lin, any := BooleanAnswer(ThetaJoin(r, u, func(l, rv []Value) bool { return l[0] < rv[0] }))
+	if !any {
+		t.Fatal("boolean theta query should have one answer")
+	}
+	// Pairs: (1,3), (1,7), (5,7) -> 3 clauses.
+	if len(lin) != 3 {
+		t.Fatalf("lineage %d clauses, want 3", len(lin))
+	}
+}
+
+func TestQueryEquiWithExtraPredicate(t *testing.T) {
+	s := formula.NewSpace()
+	r, u := tinyRelations(s)
+	// The residual predicate sees the joined row: left columns first.
+	j := Select(EquiJoin(r, u, 1, 0), func(v []Value) bool { return v[3] > 200 })
+	lin, any := BooleanAnswer(j)
+	if !any {
+		t.Fatal("want one boolean answer")
+	}
+	// Only c=300 rows qualify: joined with b=20 rows (2 of them).
+	if len(lin) != 2 {
+		t.Fatalf("lineage %d clauses, want 2", len(lin))
+	}
+}

@@ -26,8 +26,8 @@ type cursor interface {
 // answers with grouped lineage DNFs — the relational encoding of DNFs
 // the confidence algorithms consume. A root that is not a GroupLineage
 // is treated as a Boolean query over its output. A nil root has no
-// answers. The answer values and order are identical to the legacy
-// eager evaluator's.
+// answers. The answer values and order are identical to the eager
+// algebra's (pdb.GroupProject, pdb.BooleanAnswer).
 func Lineage(root Node) []pdb.Answer {
 	return LineageWith(root, nil)
 }

@@ -38,8 +38,8 @@ import (
 
 // Node is a logical plan operator. Column references are positions into
 // the referenced child's output schema (see Schema); joins concatenate
-// their children's schemas left-then-right, exactly like the legacy
-// eager operators did.
+// their children's schemas left-then-right, exactly like pdb's eager
+// join operators.
 type Node interface {
 	isNode()
 }
@@ -188,7 +188,7 @@ func Name(n Node) string {
 }
 
 // Schema returns the output column names of n. Joins qualify each
-// side's columns with the side's Name, mirroring the legacy operators.
+// side's columns with the side's Name, mirroring pdb's eager operators.
 // Total over malformed trees, like Width: unknown nodes (and
 // out-of-range projections, which Build rejects with a BuildError)
 // yield a nil schema rather than a panic.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -44,42 +45,63 @@ func answersEqual(t *testing.T, s *formula.Space, got, want []pdb.Answer) {
 	}
 }
 
+// eager evaluates a plan rooted at a GroupLineage with pdb's eager
+// algebra — fully materialized intermediates, hash joins for equality,
+// nested loops otherwise. It is the reference the pipelined runtime
+// and the planner's routes are checked against, and covers the
+// operators the tests build: Scan, Select, EquiJoin (with its residual
+// On evaluated after the equality) and an opaque-predicate ThetaJoin.
+func eager(root Node) []pdb.Answer {
+	g := root.(*GroupLineage)
+	rel := eagerRel(g.Input)
+	if len(g.Cols) == 0 {
+		lin, any := pdb.BooleanAnswer(rel)
+		if !any {
+			return nil
+		}
+		return []pdb.Answer{{Lin: lin}}
+	}
+	return pdb.GroupProject(rel, g.Cols)
+}
+
+func eagerRel(n Node) *pdb.Relation {
+	switch t := n.(type) {
+	case *Scan:
+		return t.Rel
+	case *Select:
+		return pdb.Select(eagerRel(t.Input), t.Pred)
+	case *EquiJoin:
+		j := pdb.EquiJoin(eagerRel(t.Left), eagerRel(t.Right), t.LeftCol, t.RightCol)
+		if t.On != nil {
+			w := Width(t.Left)
+			j = pdb.Select(j, func(v []pdb.Value) bool { return t.On(v[:w], v[w:]) })
+		}
+		return j
+	case *ThetaJoin:
+		return pdb.ThetaJoin(eagerRel(t.Left), eagerRel(t.Right), t.Pred)
+	}
+	panic(fmt.Sprintf("eager: unsupported operator %T", n))
+}
+
 func TestPlannerPipelineMatchesLegacyEvaluator(t *testing.T) {
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
-	queries := []*pdb.Query{
-		{ // grouped equi join
-			From: []pdb.FromItem{
-				{Rel: r},
-				{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-			},
-			Project: []pdb.ColRef{{Item: 1, Col: "c"}},
-		},
-		{ // Boolean with selection
-			From: []pdb.FromItem{
-				{Rel: r, Select: func(v []pdb.Value) bool { return v[1] == 20 }},
-				{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-			},
-		},
-		{ // theta join
-			From: []pdb.FromItem{
-				{Rel: r},
-				{Rel: u, On: func(l, rv []pdb.Value) bool { return l[0] < rv[1] }},
-			},
-		},
-		{ // equi join with residual predicate
-			From: []pdb.FromItem{
-				{Rel: r},
-				{
-					Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b",
-					On: func(l, rv []pdb.Value) bool { return rv[1] > 200 },
-				},
-			},
-		},
+	rb20 := &Select{Input: &Scan{Rel: r}, Pred: func(v []pdb.Value) bool { return v[1] == 20 }}
+	queries := []Node{
+		// grouped equi join
+		&GroupLineage{Input: &EquiJoin{Left: &Scan{Rel: r}, Right: &Scan{Rel: u}, LeftCol: 1, RightCol: 0}, Cols: []int{3}},
+		// Boolean with selection
+		&GroupLineage{Input: &EquiJoin{Left: rb20, Right: &Scan{Rel: u}, LeftCol: 1, RightCol: 0}},
+		// theta join
+		&GroupLineage{Input: &ThetaJoin{Left: &Scan{Rel: r}, Right: &Scan{Rel: u},
+			Pred: func(l, rv []pdb.Value) bool { return l[0] < rv[1] }}},
+		// equi join with residual predicate
+		&GroupLineage{Input: &EquiJoin{Left: &Scan{Rel: r}, Right: &Scan{Rel: u}, LeftCol: 1, RightCol: 0,
+			On: func(l, rv []pdb.Value) bool { return rv[1] > 200 }}},
 	}
 	for i, q := range queries {
-		got := Lineage(FromLegacy(q))
-		want := q.Evaluate()
+		got := Lineage(q)
+		want := eager(q)
 		t.Logf("query %d: %d answers", i, len(want))
 		answersEqual(t, s, got, want)
 	}
@@ -89,16 +111,11 @@ func TestPlannerPipelineEmptyAndNil(t *testing.T) {
 	if got := Lineage(nil); got != nil {
 		t.Fatalf("nil root: %v", got)
 	}
-	if got := Lineage(FromLegacy(&pdb.Query{})); got != nil {
-		t.Fatalf("empty query: %v", got)
-	}
 	s := formula.NewSpace()
 	r, u := tinyRelations(s)
-	q := &pdb.Query{From: []pdb.FromItem{
-		{Rel: r, Select: func(v []pdb.Value) bool { return false }},
-		{Rel: u, EquiLeft: pdb.ColRef{Item: 0, Col: "b"}, EquiRight: "b"},
-	}}
-	if got := Lineage(FromLegacy(q)); len(got) != 0 {
+	none := &Select{Input: &Scan{Rel: r}, Pred: func(v []pdb.Value) bool { return false }}
+	q := &GroupLineage{Input: &EquiJoin{Left: none, Right: &Scan{Rel: u}, LeftCol: 1, RightCol: 0}}
+	if got := Lineage(q); len(got) != 0 {
 		t.Fatalf("filtered-out query: %v", got)
 	}
 }

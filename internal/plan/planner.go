@@ -252,7 +252,7 @@ func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryT
 // route. The structural routes are exact and ignore ev; the lineage
 // route materializes answer DNFs and fans them out over ev (nil ev
 // defaults to exact d-tree compilation). The returned answers are
-// sorted by value exactly like the legacy evaluator's.
+// sorted by value exactly like pdb.GroupProject's.
 //
 // For a ranked plan (a TopK/Threshold root was compiled), only the
 // selected answers are returned, most probable first. The structural
@@ -261,21 +261,16 @@ func (p *Plan) lineage(ctx context.Context, in *formula.Interner, tr *obs.QueryT
 // engine.Approx's Eps/Kind/Order/Budget/Cache become the refinement
 // floor — see rankOptionsFrom).
 func (p *Plan) Answers(ctx context.Context, s *formula.Space, ev engine.Evaluator) ([]pdb.AnswerConf, error) {
-	return p.AnswersWith(ctx, s, ev, nil)
+	return p.AnswersTraced(ctx, s, ev, nil, nil)
 }
 
-// AnswersWith is Answers running the lineage pipeline through a
+// AnswersTraced is Answers running the lineage pipeline through a
 // caller-owned clause interner (nil allocates a fresh one; see
-// LineageWith).
-func (p *Plan) AnswersWith(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner) ([]pdb.AnswerConf, error) {
-	return p.AnswersTraced(ctx, s, ev, in, nil)
-}
-
-// AnswersTraced is AnswersWith additionally populating tr — the
-// per-query EXPLAIN ANALYZE trace — with the routing decision, stage
-// timings and per-answer outcomes. A nil tr records nothing and
-// executes identically (every trace method is a nil-safe no-op); the
-// answers are bitwise identical either way.
+// LineageWith) and populating tr — the per-query EXPLAIN ANALYZE trace
+// — with the routing decision, stage timings and per-answer outcomes.
+// A nil tr records nothing and executes identically (every trace
+// method is a nil-safe no-op); the answers are bitwise identical
+// either way.
 func (p *Plan) AnswersTraced(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner, tr *obs.QueryTrace) ([]pdb.AnswerConf, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -463,7 +458,7 @@ func fmtVals(vals []pdb.Value) string {
 }
 
 // validate rejects malformed ranking plans; the failure is identical on
-// every route and execution surface (Answers and Stream).
+// every route and execution surface (AnswersTraced and StreamTraced).
 func (p *Plan) validate() error {
 	if p.rank != nil && p.rank.topk && p.rank.k <= 0 {
 		return fmt.Errorf("plan: TopK.K must be positive, got %d", p.rank.k)
@@ -533,14 +528,12 @@ func rankOptionsFrom(ev engine.Evaluator) rank.Options {
 		return rank.Options{
 			Eps: e.Eps, Kind: e.Kind, Order: e.Order,
 			Budget: e.Budget, Cache: e.Cache, Frags: e.Frags,
-			Sequential: e.Sequential, Pool: e.Pool, Metrics: e.Metrics,
-			Inject: e.Inject,
+			Pool: e.Pool, Metrics: e.Metrics, Inject: e.Inject,
 		}
 	case engine.Exact:
 		return rank.Options{
 			Order: e.Order, Budget: e.Budget, Cache: e.Cache,
-			Sequential: e.Sequential, Pool: e.Pool, Metrics: e.Metrics,
-			Inject: e.Inject,
+			Pool: e.Pool, Metrics: e.Metrics, Inject: e.Inject,
 		}
 	case engine.MonteCarlo:
 		return rank.Options{Budget: e.Budget}

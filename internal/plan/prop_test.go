@@ -14,11 +14,10 @@ import (
 	"repro/internal/pdb"
 )
 
-// Satellite: planner equivalence property. For random acyclic
-// conjunctive queries over random tuple-independent and BID relations,
-// the planner-routed confidences must equal the legacy eager evaluator
-// (pdb.Query.Evaluate) plus exact d-tree compilation, within 1e-12 —
-// whatever route the planner picks.
+// Planner equivalence property. For random acyclic conjunctive queries
+// over random tuple-independent and BID relations, the planner-routed
+// confidences must equal the eager algebra evaluator (eager) plus exact
+// d-tree compilation, within 1e-12 — whatever route the planner picks.
 
 // randomRelation builds a small relation: tuple-independent,
 // block-independent-disjoint, or deterministic.
@@ -69,54 +68,53 @@ func randomRelation(rng *rand.Rand, s *formula.Space, name string, tag int32) *p
 
 // randomQuery builds a random left-deep acyclic query over 1–3
 // relations (occasionally repeating one, which must push the planner
-// onto the lineage route).
-func randomQuery(rng *rand.Rand, rels []*pdb.Relation) *pdb.Query {
+// onto the lineage route): the first relation leads, every later one
+// joins the accumulated left side, and a GroupLineage over 0–2 columns
+// (0 = Boolean) is the root.
+func randomQuery(rng *rand.Rand, rels []*pdb.Relation) Node {
 	n := 1 + rng.Intn(3)
-	items := make([]pdb.FromItem, 0, n)
+	items := make([]*pdb.Relation, 0, n)
+	offsets := make([]int, 0, n) // first column of each relation in the joined schema
+	width := 0
+	var acc Node
 	perm := rng.Perm(len(rels))
 	for i := 0; i < n; i++ {
 		rel := rels[perm[i%len(perm)]]
 		if rng.Intn(8) == 0 {
 			rel = rels[perm[0]] // occasional self-join
 		}
-		item := pdb.FromItem{Rel: rel}
+		var leaf Node = &Scan{Rel: rel}
 		if rng.Intn(3) == 0 {
 			col := rng.Intn(len(rel.Cols))
 			cut := pdb.Value(rng.Intn(5))
-			item.Select = func(v []pdb.Value) bool { return v[col] <= cut }
+			leaf = &Select{Input: leaf, Pred: func(v []pdb.Value) bool { return v[col] <= cut }}
 		}
-		if i > 0 {
-			if rng.Intn(5) == 0 { // opaque theta join
-				lcol := rng.Intn(widthOf(items))
-				rcol := rng.Intn(len(rel.Cols))
-				item.On = func(l, r []pdb.Value) bool { return l[lcol] < r[rcol] }
-			} else {
-				li := rng.Intn(i)
-				lrel := items[li].Rel
-				item.EquiLeft = pdb.ColRef{Item: li, Col: lrel.Cols[rng.Intn(len(lrel.Cols))]}
-				item.EquiRight = rel.Cols[rng.Intn(len(rel.Cols))]
-			}
+		switch {
+		case i == 0:
+			acc = leaf
+		case rng.Intn(5) == 0: // opaque theta join
+			lcol := rng.Intn(width)
+			rcol := rng.Intn(len(rel.Cols))
+			acc = &ThetaJoin{Left: acc, Right: leaf, Pred: func(l, r []pdb.Value) bool { return l[lcol] < r[rcol] }}
+		default:
+			li := rng.Intn(i)
+			lcol := offsets[li] + rng.Intn(len(items[li].Cols))
+			rcol := rng.Intn(len(rel.Cols))
+			acc = &EquiJoin{Left: acc, Right: leaf, LeftCol: lcol, RightCol: rcol}
 		}
-		items = append(items, item)
+		items = append(items, rel)
+		offsets = append(offsets, width)
+		width += len(rel.Cols)
 	}
-	q := &pdb.Query{From: items}
+	var cols []int
 	if rng.Intn(2) == 0 { // grouped projection over 1–2 columns
 		np := 1 + rng.Intn(2)
 		for i := 0; i < np; i++ {
 			it := rng.Intn(n)
-			rel := items[it].Rel
-			q.Project = append(q.Project, pdb.ColRef{Item: it, Col: rel.Cols[rng.Intn(len(rel.Cols))]})
+			cols = append(cols, offsets[it]+rng.Intn(len(items[it].Cols)))
 		}
 	}
-	return q
-}
-
-func widthOf(items []pdb.FromItem) int {
-	w := 0
-	for _, it := range items {
-		w += len(it.Rel.Cols)
-	}
-	return w
+	return &GroupLineage{Input: acc, Cols: cols}
 }
 
 func key(vals []pdb.Value) string {
@@ -139,20 +137,20 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 		}
 		q := randomQuery(rng, rels)
 
-		legacy := q.Evaluate()
+		ref := eager(q)
 		want := map[string]float64{}
-		for _, a := range legacy {
+		for _, a := range ref {
 			want[key(a.Vals)] = core.ExactProbability(s, a.Lin)
 		}
 
-		p := Compile(FromLegacy(q))
+		p := Compile(q)
 		routes[p.Route]++
 		got, err := p.Answers(context.Background(), s, engine.Exact{})
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, p.Explain(), err)
 		}
-		if len(got) != len(legacy) {
-			t.Fatalf("iter %d (%s): %d answers, legacy %d", iter, p.Explain(), len(got), len(legacy))
+		if len(got) != len(ref) {
+			t.Fatalf("iter %d (%s): %d answers, eager %d", iter, p.Explain(), len(got), len(ref))
 		}
 		for _, a := range got {
 			wp, ok := want[key(a.Vals)]
@@ -160,7 +158,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 				t.Fatalf("iter %d (%s): unexpected answer %v", iter, p.Explain(), a.Vals)
 			}
 			if math.Abs(a.P-wp) > 1e-12 {
-				t.Fatalf("iter %d (%s): answer %v confidence %v, legacy %v (Δ=%g)",
+				t.Fatalf("iter %d (%s): answer %v confidence %v, eager %v (Δ=%g)",
 					iter, p.Explain(), a.Vals, a.P, wp, math.Abs(a.P-wp))
 			}
 		}
@@ -173,8 +171,7 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 }
 
 // TestPlannerEquivalencePropertyIQ drives the IQ route with random
-// structured inequality chains and stars (the legacy bridge cannot
-// express structured Less conditions, so these are built as IR).
+// structured inequality chains and stars.
 func TestPlannerEquivalencePropertyIQ(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	routes := map[Route]int{}

@@ -436,7 +436,7 @@ func reorder(vt *varTable, vars []int) *varTable {
 }
 
 // answers evaluates the plan and maps the root table into requested
-// head-column order, sorted like the legacy group projection.
+// head-column order, sorted like pdb.GroupProject.
 func (sp *safePlan) answers(s *formula.Space) []safeRow {
 	vt := sp.eval(s)
 	pos := make([]int, len(sp.headClasses))
@@ -452,8 +452,8 @@ func (sp *safePlan) answers(s *formula.Space) []safeRow {
 		}
 		rows = append(rows, safeRow{vals: vals, p: r.P})
 		// Keys are precomputed once per row (not per comparison) in
-		// pdb.GroupProject's encoding, keeping routed and legacy answer
-		// orders aligned.
+		// pdb.GroupProject's encoding, keeping safe-route and lineage
+		// answer orders aligned.
 		keys = append(keys, pdb.ValsKey(vals))
 	}
 	sort.Sort(&rowsByKey{rows: rows, keys: keys})

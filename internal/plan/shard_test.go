@@ -107,8 +107,7 @@ func TestShardedLineageProperty(t *testing.T) {
 		for i := range rels {
 			rels[i] = shardRelation(rng, s, fmt.Sprintf("R%d", i), int32(i))
 		}
-		q := randomQuery(rng, rels)
-		root := FromLegacy(q)
+		root := randomQuery(rng, rels)
 
 		refPlan := CompileWith(root, Options{DisableSafe: true, DisableIQ: true, Shards: 1, Pool: pool})
 		if refPlan.shard != nil || refPlan.Shards != 1 {
@@ -153,7 +152,7 @@ func TestShardedLineageProperty(t *testing.T) {
 		// refinement steps and produce the identical ranking.
 		if iter%8 == 0 && len(ref) > 0 {
 			k := 1 + rng.Intn(3)
-			ropt := rank.Options{Sequential: true}
+			ropt := rank.Options{Pool: workpool.New(1)}
 			_, resRef, errRef := pdb.ConfTopK(context.Background(), s, ref, k, ropt)
 			_, resGot, errGot := pdb.ConfTopK(context.Background(), s, sharded, k, ropt)
 			if errRef != nil || errGot != nil {

@@ -13,9 +13,10 @@ import (
 	"repro/internal/rank"
 )
 
-// Stream executes the plan, delivering answers as an iterator instead
-// of a materialized slice. On a ranked lineage-route plan the stream is
-// genuinely anytime: each answer is yielded synchronously from inside
+// StreamTraced executes the plan like AnswersTraced, delivering answers
+// as an iterator instead of a materialized slice. On a ranked
+// lineage-route plan the stream is genuinely anytime: each answer is
+// yielded synchronously from inside
 // the scheduling loop the moment its top-k/threshold membership is
 // proven (rank.Options.OnDecided), so the first answer of a
 // top-10-of-240 query arrives before refinement of the other 230
@@ -30,19 +31,10 @@ import (
 // nothing. A failure (context cancellation, timeout) ends the stream
 // with a final (zero answer, error) pair after whatever prefix of
 // answers was proven — the partial, error-carrying iterator.
-func (p *Plan) Stream(ctx context.Context, s *formula.Space, ev engine.Evaluator) iter.Seq2[pdb.AnswerConf, error] {
-	return p.StreamWith(ctx, s, ev, nil)
-}
-
-// StreamWith is Stream running the lineage pipeline through a
-// caller-owned clause interner (nil allocates a fresh one; see
-// LineageWith).
-func (p *Plan) StreamWith(ctx context.Context, s *formula.Space, ev engine.Evaluator, in *formula.Interner) iter.Seq2[pdb.AnswerConf, error] {
-	return p.StreamTraced(ctx, s, ev, in, nil)
-}
-
-// StreamTraced is StreamWith additionally populating tr — the
-// per-query EXPLAIN ANALYZE trace — with the routing decision, stage
+//
+// The lineage pipeline runs through the caller-owned clause interner
+// in (nil allocates a fresh one; see LineageWith), and tr, the
+// per-query EXPLAIN ANALYZE trace, records the routing decision, stage
 // timings and per-answer outcomes. A nil tr records nothing; the
 // yielded answers are bitwise identical either way. The trace's answer
 // section reflects the scheduler's final ranking even when the

@@ -85,10 +85,9 @@ type Options struct {
 	// Shannon siblings), so within-run sharing alone removes most
 	// preparation work.
 	Frags *formula.FragCache
-	// Sequential disables parallel leaf preparation inside refiners.
-	Sequential bool
 	// Pool is the worker pool refiners' parallel leaf preparation fans
-	// out on; nil means the shared workpool.Default.
+	// out on; nil means the shared workpool.Default, and a pool of one
+	// (workpool.New(1)) prepares sequentially.
 	Pool *workpool.Pool
 	// Resolve refines every selected answer down to the Eps floor after
 	// membership is decided, so reported confidences carry the full
@@ -144,7 +143,7 @@ func (o Options) coreOptions() core.Options {
 	return core.Options{
 		Eps: o.Eps, Kind: o.Kind, Order: o.Order,
 		MaxNodes: o.Budget.MaxNodes, MaxWork: o.Budget.MaxWork,
-		Cache: o.Cache, Frags: o.Frags, Sequential: o.Sequential, Pool: o.Pool,
+		Cache: o.Cache, Frags: o.Frags, Pool: o.Pool,
 		Metrics: o.Metrics, Inject: o.Inject,
 	}
 }

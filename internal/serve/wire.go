@@ -28,8 +28,8 @@ type Request struct {
 	// degradation. On a named session the explicit Eps is sticky: later
 	// requests on the session inherit it unless they carry their own.
 	Eps *float64 `json:"eps,omitempty"`
-	// Budget bounds the evaluation; zero fields fall back to the
-	// server's default budget.
+	// Budget bounds the evaluation (see Budget); nil or all-zero runs
+	// under the server's default budget.
 	Budget *Budget `json:"budget,omitempty"`
 	// Query is the plan in wire IR form.
 	Query *Node `json:"query"`
@@ -102,12 +102,26 @@ func countNodes(root *Node) int {
 	return n
 }
 
-// Budget is the wire form of engine.Budget.
+// Budget is the wire form of engine.Budget. Zero fields are unlimited;
+// a request whose budget is all zero runs under the server's default.
+// The budget bounds evaluation on the lineage route only: the safe and
+// IQ routes compute exact answers without an evaluator and do not
+// apply it.
 type Budget struct {
-	MaxNodes   int `json:"max_nodes,omitempty"`
-	MaxWork    int `json:"max_work,omitempty"`
+	// MaxNodes bounds the d-tree nodes each answer's evaluation (or,
+	// on a ranked query, each answer's refiner) may construct.
+	MaxNodes int `json:"max_nodes,omitempty"`
+	// MaxWork bounds each answer's cumulative clause-processing work,
+	// counted like MaxNodes.
+	MaxWork int `json:"max_work,omitempty"`
+	// MaxSamples bounds the Monte Carlo estimator's samples per answer.
 	MaxSamples int `json:"max_samples,omitempty"`
-	TimeoutMS  int `json:"timeout_ms,omitempty"`
+	// TimeoutMS is a wall-clock deadline in milliseconds. On a ranked
+	// (top_k or threshold) query it bounds the whole scheduling run.
+	// On an unranked lineage-route query it bounds each answer's
+	// evaluation separately, so n slow answers can take up to
+	// ⌈n / parallelism⌉ × timeout in total.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
 // Engine converts to the engine's budget shape (nil means unlimited).

@@ -13,8 +13,8 @@
 //
 // Most callers thread an explicit *Pool (each façade DB owns one, so
 // sizing one DB never affects another); a nil *Pool means the shared
-// Default pool, which the package-level Resize/Parallelism/Run
-// functions operate on directly.
+// Default pool, which the package-level Parallelism/Run functions
+// operate on directly.
 package workpool
 
 import (
@@ -43,7 +43,7 @@ func New(n int) *Pool {
 }
 
 // Default is the process-wide pool used when callers pass a nil *Pool
-// (and by the package-level Resize/Parallelism/Run).
+// (and by the package-level Parallelism/Run).
 var Default = New(runtime.GOMAXPROCS(0))
 
 // or resolves a nil receiver to the Default pool.
@@ -171,13 +171,6 @@ func (p *Pool) RunAbort(abort func(), tasks ...func()) {
 		panic(panicked)
 	}
 }
-
-// Resize sets the Default pool's parallelism.
-//
-// Deprecated: Resize affects every caller sharing the Default pool.
-// Components that want isolated sizing should own a Pool (the façade DB
-// does) and call its Resize method.
-func Resize(n int) { Default.Resize(n) }
 
 // Parallelism returns the Default pool's configured parallelism.
 func Parallelism() int { return Default.Parallelism() }

@@ -9,9 +9,9 @@ import (
 )
 
 func TestRunExecutesAll(t *testing.T) {
-	defer Resize(4)
+	defer Default.Resize(4)
 	for _, n := range []int{1, 2, 8} {
-		Resize(n)
+		Default.Resize(n)
 		var count atomic.Int64
 		tasks := make([]func(), 37)
 		for i := range tasks {
@@ -25,8 +25,8 @@ func TestRunExecutesAll(t *testing.T) {
 }
 
 func TestNestedRunNoDeadlock(t *testing.T) {
-	defer Resize(4)
-	Resize(2)
+	defer Default.Resize(4)
+	Default.Resize(2)
 	var count atomic.Int64
 	var rec func(depth int)
 	rec = func(depth int) {
@@ -46,8 +46,8 @@ func TestNestedRunNoDeadlock(t *testing.T) {
 }
 
 func TestResizeFloorsAtOne(t *testing.T) {
-	defer Resize(4)
-	Resize(-3)
+	defer Default.Resize(4)
+	Default.Resize(-3)
 	if p := Parallelism(); p != 1 {
 		t.Fatalf("Parallelism() = %d after Resize(-3), want 1", p)
 	}
