@@ -56,10 +56,12 @@
 //     relations, the pool of hash-consing clause interners, and a
 //     private worker pool (db.Pool().Resize sizes it per DB).
 //     NewDB(space, relations...).
+//
 //   - Session — per-client scope: a subformula probability cache, a
 //     default Budget, a default Evaluator, an optional forced lineage
 //     shard count. db.Session(WithEps(1e-3), WithBudget(...),
 //     WithSharedCache(...), WithShards(4), ...).
+//
 //   - Query — the fluent builder compiled to the plan IR with
 //     build-time validation: sess.Query("R").Select(...).Join(...).
 //     GroupLineage(...).TopK(10). Run(ctx) streams the answers as an
@@ -67,13 +69,13 @@
 //     answer is yielded the moment its membership is proven, before
 //     refinement of the rest finishes.
 //
-//	db := repro.NewDB(space, relations...)
-//	sess := db.Session(repro.WithEps(1e-3))
-//	q := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(10)
-//	for a, err := range q.Run(ctx) {
-//		if err != nil { ... }
-//		fmt.Println(a.Vals, a.P)
-//	}
+//     db := repro.NewDB(space, relations...)
+//     sess := db.Session(repro.WithEps(1e-3))
+//     q := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(10)
+//     for a, err := range q.Run(ctx) {
+//     if err != nil { ... }
+//     fmt.Println(a.Vals, a.P)
+//     }
 //
 // Build-time failures (unregistered relations, empty projections,
 // nested ranking operators, ...) surface as BuildErrors from Build or

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -336,7 +337,11 @@ func (st *state) prepareAs(d formula.DNF, normalized, reduced bool) frag {
 		return f
 	}
 	if !normalized {
-		d = d.Normalize()
+		// Normalize over the pooled dedup table, on a copy: the caller
+		// owns d.
+		sc := prepPool.Get().(*prepScratch)
+		d = sc.dedup.dedup(slices.Clone(d))
+		prepPool.Put(sc)
 	}
 	if d.IsTrue() {
 		return store(frag{d: d, lo: 1, hi: 1, exact: true}, w)

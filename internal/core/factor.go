@@ -1,8 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/formula"
 )
@@ -21,97 +22,142 @@ const maxFactorTags = 16
 // projections of the clauses onto S and its complement form an exact
 // cross product. It returns nil when no factorization exists (including
 // when variables are untagged).
+//
+// Tags are handled by rank: each variable is mapped once to its tag's
+// position among d's sorted distinct tags, and a tag set is a bitmask
+// over those positions.
 func independentAndParts(s *formula.Space, d formula.DNF) []formula.DNF {
 	if len(d) < 2 {
 		return nil
 	}
-	tagSet := make(map[int32]struct{})
-	for _, c := range d {
-		for _, a := range c {
-			tag := s.Tag(a.Var)
-			if tag == formula.NoTag {
-				return nil
-			}
-			tagSet[tag] = struct{}{}
-		}
-	}
-	if len(tagSet) < 2 || len(tagSet) > maxFactorTags {
+	sc := prepPool.Get().(*prepScratch)
+	defer prepPool.Put(sc)
+	all, ok := sc.tagRanks(s, d)
+	if !ok {
 		return nil
 	}
-	tags := make([]int32, 0, len(tagSet))
-	for t := range tagSet {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-
-	parts := factorRec(s, d, tags)
+	parts := factorRec(d, all, sc)
 	if len(parts) < 2 {
 		return nil
 	}
 	return parts
 }
 
-// factorRec factorizes d (whose variables span exactly the given tags)
-// into maximally many independent conjuncts, returning a single-element
-// slice if d is not factorizable.
-func factorRec(s *formula.Space, d formula.DNF, tags []int32) []formula.DNF {
-	if len(tags) < 2 {
+// tagRanks sets sc.tpos[v], for every variable v of d, to the rank of
+// v's tag among d's sorted distinct tags and returns the mask of all
+// ranks. ok is false when a variable is untagged or d spans fewer than
+// 2 or more than maxFactorTags tags.
+func (sc *prepScratch) tagRanks(s *formula.Space, d formula.DNF) (all uint32, ok bool) {
+	n := int(maxVar(d)) + 1
+	seen := sc.stamps(n)
+	sc.tpos = grow(sc.tpos, n)
+	epoch := sc.nextEpoch()
+	var tags [maxFactorTags]int32 // in first-occurrence order
+	nt := 0
+	vars := sc.vars[:0]
+	for _, c := range d {
+		for _, a := range c {
+			if seen[a.Var] == epoch {
+				continue
+			}
+			seen[a.Var] = epoch
+			tag := s.Tag(a.Var)
+			if tag == formula.NoTag {
+				return 0, false
+			}
+			k := slices.Index(tags[:nt], tag)
+			if k < 0 {
+				if nt == maxFactorTags {
+					return 0, false
+				}
+				k = nt
+				tags[nt] = tag
+				nt++
+			}
+			sc.tpos[a.Var] = uint8(k)
+			vars = append(vars, a.Var)
+		}
+	}
+	sc.vars = vars
+	if nt < 2 {
+		return 0, false
+	}
+	var rank [maxFactorTags]uint8 // first-occurrence index → sorted rank
+	for k, tag := range tags[:nt] {
+		for _, t := range tags[:nt] {
+			if t < tag {
+				rank[k]++
+			}
+		}
+	}
+	for _, v := range vars {
+		sc.tpos[v] = rank[sc.tpos[v]]
+	}
+	return 1<<nt - 1, true
+}
+
+// factorRec factorizes d (whose variables span exactly the tag ranks in
+// tags) into maximally many independent conjuncts, returning a
+// single-element slice if d is not factorizable.
+func factorRec(d formula.DNF, tags uint32, sc *prepScratch) []formula.DNF {
+	n := bits.OnesCount32(tags)
+	if n < 2 {
 		return []formula.DNF{d}
 	}
-	// Enumerate proper subsets S of tags that contain tags[0] (fixing the
-	// first tag halves the search and avoids mirror splits), smallest
-	// subsets first so single relations split off eagerly.
-	n := len(tags)
-	type split struct {
-		mask int
-		bits int
-	}
-	splits := make([]split, 0, 1<<(n-1))
-	for mask := 1; mask < 1<<n; mask += 2 { // bit 0 always set
-		if mask == (1<<n)-1 {
-			continue // improper
-		}
-		splits = append(splits, split{mask, bits.OnesCount(uint(mask))})
-	}
-	sort.Slice(splits, func(i, j int) bool {
-		if splits[i].bits != splits[j].bits {
-			return splits[i].bits < splits[j].bits
-		}
-		return splits[i].mask < splits[j].mask
-	})
-	for _, sp := range splits {
-		inS := make(map[int32]bool, n)
-		for b := 0; b < n; b++ {
-			if sp.mask&(1<<b) != 0 {
-				inS[tags[b]] = true
+	// Enumerate proper subsets S of tags that contain the lowest tag
+	// (fixing it halves the search and avoids mirror splits), smallest
+	// subsets first so single relations split off eagerly, and subsets of
+	// one size in increasing mask order: the lowest tag plus k of the
+	// n-1 others, taken as the increasing k-bit combinations of n-1 bits
+	// deposited onto the others' positions (which keeps their order).
+	first := tags & -tags
+	others := tags &^ first
+	for k := 0; k < n-1; k++ {
+		for sub := uint32(1)<<k - 1; sub < 1<<(n-1); sub = nextCombination(sub) {
+			inS := first | deposit(sub, others)
+			a, b, ok := trysplit(d, inS, sc)
+			if !ok {
+				continue
 			}
+			out := factorRec(a, inS, sc)
+			return append(out, factorRec(b, tags&^inS, sc)...)
 		}
-		a, b, ok := trysplit(s, d, inS)
-		if !ok {
-			continue
-		}
-		var sTags, cTags []int32
-		for _, t := range tags {
-			if inS[t] {
-				sTags = append(sTags, t)
-			} else {
-				cTags = append(cTags, t)
-			}
-		}
-		out := factorRec(s, a, sTags)
-		out = append(out, factorRec(s, b, cTags)...)
-		return out
 	}
 	return []formula.DNF{d}
 }
 
+// nextCombination returns the next integer above x with as many set
+// bits (Gosper's hack); 0 has none, so it ends the enumeration.
+func nextCombination(x uint32) uint32 {
+	if x == 0 {
+		return math.MaxUint32
+	}
+	c := x & -x
+	r := x + c
+	return ((r^x)>>2)/c | r
+}
+
+// deposit scatters the low bits of sub onto the set bits of mask, in
+// order: bit j of sub lands on the j-th set bit of mask.
+func deposit(sub, mask uint32) uint32 {
+	var out uint32
+	for ; mask != 0; mask &= mask - 1 {
+		if sub&1 != 0 {
+			out |= mask & -mask
+		}
+		sub >>= 1
+	}
+	return out
+}
+
 // trysplit tests whether d ≡ (∨ A) ∧ (∨ B) where A and B are the distinct
-// projections of d's clauses onto the tags in inS and its complement. The
-// test is the exact-cross-product check: the number of distinct
-// (projection, co-projection) pairs must equal |A|·|B|; since the pairs
-// are a subset of A×B and clauses are distinct, equality of counts implies
-// the pair set is all of A×B.
-func trysplit(s *formula.Space, d formula.DNF, inS map[int32]bool) (a, b formula.DNF, ok bool) {
+// projections of d's clauses onto the tag ranks in inS and its
+// complement (sc.tpos maps variables to ranks). The test is the
+// exact-cross-product check: the number of distinct (projection,
+// co-projection) pairs must equal |A|·|B|; since the pairs are a subset
+// of A×B and clauses are distinct, equality of counts implies the pair
+// set is all of A×B.
+func trysplit(d formula.DNF, inS uint32, sc *prepScratch) (a, b formula.DNF, ok bool) {
 	// Since d is duplicate-free, distinct clauses yield distinct
 	// (projection, co-projection) pairs, so |pairs| = |d| and the exact
 	// cross-product condition |pairs| = |A|·|B| reduces to
@@ -120,87 +166,76 @@ func trysplit(s *formula.Space, d formula.DNF, inS map[int32]bool) (a, b formula
 	// structural comparison against a representative clause),
 	// materializing nothing on the common failure path. Both counts only
 	// grow, so the scan aborts as soon as their product exceeds |d|.
-	repsA := make(map[uint64][]int, 16)
-	repsB := make(map[uint64][]int, 16)
-	nA, nB := 0, 0
+	pos := sc.tpos
+	// Per side (1: inS, 0: its complement), the first clause of each
+	// distinct projection, in order.
+	var reps [2][]int32
+	for side := range reps {
+		sc.proj[side].reset(len(d))
+		reps[side] = sc.reps[side][:0]
+	}
 	for ci, c := range d {
-		var hA, hB uint64 = 0x5bd1e995, 0x5bd1e995
-		wA, wB := 0, 0
+		h := [2]uint64{0x5bd1e995, 0x5bd1e995}
+		var w [2]uint64
 		for _, at := range c {
-			if inS[s.Tag(at.Var)] {
-				hA ^= formula.AtomHash(at)
-				wA++
-			} else {
-				hB ^= formula.AtomHash(at)
-				wB++
+			side := inS >> pos[at.Var] & 1
+			h[side] ^= formula.AtomHash(at)
+			w[side]++
+		}
+		for side := range reps {
+			same := func(ri int32) bool { return projEqual(c, d[ri], pos, inS, uint32(side)) }
+			if sc.proj[side].insert(h[side]+w[side]*0x100000001b3, ci, same) {
+				reps[side] = append(reps[side], int32(ci))
 			}
 		}
-		hA += uint64(wA) * 0x100000001b3
-		hB += uint64(wB) * 0x100000001b3
-		if addProjectionRep(s, d, repsA, hA, ci, inS, true) {
-			nA++
-		}
-		if addProjectionRep(s, d, repsB, hB, ci, inS, false) {
-			nB++
-		}
-		if nA*nB > len(d) {
-			return nil, nil, false
+		if len(reps[0])*len(reps[1]) > len(d) {
+			break
 		}
 	}
-	if nA*nB != len(d) {
+	sc.reps = reps
+	if len(reps[0])*len(reps[1]) != len(d) {
 		return nil, nil, false
 	}
-
-	var aParts, bParts []formula.Clause
-	aKeys := make(map[uint64][]int, nA)
-	bKeys := make(map[uint64][]int, nB)
-	intern := func(c formula.Clause, keys map[uint64][]int, parts *[]formula.Clause) {
-		h := c.Hash()
-		for _, i := range keys[h] {
-			if (*parts)[i].Equal(c) {
-				return
-			}
-		}
-		keys[h] = append(keys[h], len(*parts))
-		*parts = append(*parts, c)
-	}
-	for _, c := range d {
-		var ca, cb formula.Clause
-		for _, at := range c {
-			if inS[s.Tag(at.Var)] {
-				ca = append(ca, at)
-			} else {
-				cb = append(cb, at)
-			}
-		}
-		intern(ca, aKeys, &aParts)
-		intern(cb, bKeys, &bParts)
-	}
-	return formula.DNF(aParts), formula.DNF(bParts), true
+	// The representatives' projections are the distinct projections in
+	// first-occurrence order.
+	return project(d, reps[1], pos, inS, 1), project(d, reps[0], pos, inS, 0), true
 }
 
-// addProjectionRep records clause ci as a representative of its
-// projection hash if no existing representative has an equal projection;
-// it reports whether a new distinct projection was added.
-func addProjectionRep(s *formula.Space, d formula.DNF, reps map[uint64][]int, h uint64, ci int, inS map[int32]bool, side bool) bool {
-	for _, ri := range reps[h] {
-		if projEqual(s, d[ci], d[ri], inS, side) {
-			return false
+// project returns the projections of the clauses d[i], i in idx, onto
+// the side (1: the tag ranks in inS, 0: the others), over one backing
+// array.
+func project(d formula.DNF, idx []int32, pos []uint8, inS, side uint32) formula.DNF {
+	atoms := 0
+	for _, i := range idx {
+		for _, at := range d[i] {
+			if inS>>pos[at.Var]&1 == side {
+				atoms++
+			}
 		}
 	}
-	reps[h] = append(reps[h], ci)
-	return true
+	buf := make([]formula.Atom, 0, atoms)
+	out := make(formula.DNF, len(idx))
+	for k, i := range idx {
+		start := len(buf)
+		for _, at := range d[i] {
+			if inS>>pos[at.Var]&1 == side {
+				buf = append(buf, at)
+			}
+		}
+		out[k] = buf[start:len(buf):len(buf)]
+	}
+	return out
 }
 
-// projEqual compares the projections of c1 and c2 onto the side's tags
-// without materializing them.
-func projEqual(s *formula.Space, c1, c2 formula.Clause, inS map[int32]bool, side bool) bool {
+// projEqual compares the projections of c1 and c2 onto the side (1: the
+// tag ranks in inS, 0: the others) without materializing them.
+func projEqual(c1, c2 formula.Clause, pos []uint8, inS, side uint32) bool {
 	i, j := 0, 0
 	for {
-		for i < len(c1) && inS[s.Tag(c1[i].Var)] != side {
+		for i < len(c1) && inS>>pos[c1[i].Var]&1 != side {
 			i++
 		}
-		for j < len(c2) && inS[s.Tag(c2[j].Var)] != side {
+		for j < len(c2) && inS>>pos[c2[j].Var]&1 != side {
 			j++
 		}
 		if i >= len(c1) || j >= len(c2) {

@@ -6,12 +6,21 @@ import (
 	"repro/internal/formula"
 )
 
-// This file holds the leaf-preparation hot path. Every d-tree node the
-// compiler constructs starts as a prepared fragment — normalization,
-// subsumption removal, and the Figure 3 heuristic bounds — and PR-5
-// profiling showed that preparation, not refinement bookkeeping,
-// dominates the canonical ranking workloads (>50% of samples). Three
-// mechanisms make preparation proportional to *new* work:
+// This file holds the leaf-preparation hot path and the scratch the
+// decomposition helpers share with it. Every d-tree node the compiler
+// constructs starts as a prepared fragment — normalization, subsumption
+// removal, and the Figure 3 heuristic bounds — and then decomposes:
+// variable choice (varorder.go) and independent-and factorization
+// (factor.go). On the paper-eps corpus (perfbench; seed 1, one worker,
+// 2 vCPUs) a CPU profile of the map- and closure-sort-based versions of
+// these helpers put the leaf bounds at 28% of samples (a stable
+// closure-comparator sort alone 19%), variable choice at 18%,
+// factorization at 11%, GC at 13% and the root Normalize at 7%. On
+// dense epoch-stamped per-Var arrays, (probability, index) sort keys
+// and tag bitmasks the shares are 24% (the radix sort 6%), 3.5%, 6%
+// and 11%, the whole pass runs in about half the time, and inclusion-
+// exclusion (19%) and RemoveSubsumed (14%) lead the profile. The
+// mechanisms:
 //
 //   - a prepared-fragment cache (formula.FragCache, Options.Frags):
 //     identical subformulas across the answers of a query and across
@@ -23,93 +32,131 @@ import (
 //     restrictions deduplicated on the way out), and component Selects
 //     are subsumption-free too, so prepare skips Normalize /
 //     RemoveSubsumed passes that would be content no-ops;
-//   - pooled epoch-stamped scratch (prepScratch) for the remaining
-//     per-prepare buffers: leaf-bounds probabilities / sort
-//     permutation / bucket stamps, the restrict dedup table, and the
-//     union-find of the component partition.
+//   - pooled epoch-stamped scratch (prepScratch) for every remaining
+//     per-call buffer: leaf-bounds sort keys and bucket stamps, the
+//     dedup tables of normalization, restriction and factorization,
+//     the per-Var counts and tag ranks of the decomposition helpers,
+//     and the union-find of the component partition.
 //
 // The original allocate-everything pipeline is retained verbatim
 // behind the internal Options.refPrepare flag; the differential
 // property tests in prepare_test.go prove both pipelines
-// bitwise-identical across full refinement and ranking traces.
+// bitwise-identical across full refinement and ranking traces. The
+// map-based helpers the scratch versions replaced live on as oracles
+// in decompose_ref_test.go.
 
-// prepScratch bundles the reusable buffers of leaf preparation. One
-// scratch serves one preparation at a time; concurrent preparations
-// (prepareAll fanning out on the worker pool) draw distinct scratches
-// from prepPool.
+// prepScratch bundles the reusable buffers of leaf preparation and of
+// the decomposition helpers (variable choice, independent-and
+// factorization). One scratch serves one preparation or decomposition
+// at a time; concurrent ones (prepareAll fanning out on the worker
+// pool) draw distinct scratches from prepPool. The per-Var arrays are
+// sized by the largest variable of the formula at hand, not by the
+// Space.
 type prepScratch struct {
-	fs    []float64 // leafBounds: clause probabilities
-	is    []int     // leafBounds: sort permutation
-	bs    []bool    // leafBounds: used set
-	st    []uint32  // leafBounds: per-bucket variable stamps
-	epoch uint32    // current stamp epoch for st
+	keys  []probKey     // leafBounds: (probability, clause) sort keys
+	st    []uint32      // per-Var epoch stamps: bucket or seen marks
+	epoch uint32        // current stamp epoch for st
+	occ   []int32       // per-Var clause counts (varCounts)
+	tpos  []uint8       // per-Var tag rank (tagRanks)
+	vars  []formula.Var // distinct variables in first-occurrence order
+	tags  []int32       // iqVariable: sorted tags of the variables
+	cand  []uint64      // iqVariable: packed (occurrence, var) sort keys
+	reps  [2][]int32    // trysplit: projection representatives per side
 
 	comp  formula.CompScratch // component partition union-find
-	dedup dedupTable          // restrict dedup
+	dedup dedupTable          // root normalize, restrict dedup
+	proj  [2]dedupTable       // trysplit: distinct projections per side
 }
 
 var prepPool = sync.Pool{New: func() any { return new(prepScratch) }}
 
-// floats returns a length-n float buffer (contents undefined).
-func (sc *prepScratch) floats(n int) []float64 {
-	if cap(sc.fs) < n {
-		sc.fs = make([]float64, n)
+// grow returns buf resliced to length n, reallocated when its capacity
+// is short (contents undefined).
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	sc.fs = sc.fs[:n]
-	return sc.fs
-}
-
-// ints returns a length-n int buffer (contents undefined).
-func (sc *prepScratch) ints(n int) []int {
-	if cap(sc.is) < n {
-		sc.is = make([]int, n)
-	}
-	sc.is = sc.is[:n]
-	return sc.is
-}
-
-// bools returns a length-n zeroed bool buffer.
-func (sc *prepScratch) bools(n int) []bool {
-	if cap(sc.bs) < n {
-		sc.bs = make([]bool, n)
-		return sc.bs
-	}
-	sc.bs = sc.bs[:n]
-	clear(sc.bs)
-	return sc.bs
+	return buf[:n]
 }
 
 // stamps returns the stamp buffer grown to cover n entries. Entries
 // are validated by comparison against epochs issued by nextEpoch, so
 // stale contents never need clearing.
 func (sc *prepScratch) stamps(n int) []uint32 {
-	if cap(sc.st) < n {
-		grown := make([]uint32, n)
-		copy(grown, sc.st)
-		sc.st = grown
-	}
-	sc.st = sc.st[:n]
+	sc.st = grow(sc.st, n)
 	return sc.st
 }
 
-// nextEpoch starts a fresh stamp epoch, clearing the buffer on the
-// (once per 2^32 buckets) wraparound so stale stamps cannot alias it.
+// nextEpoch starts a fresh stamp epoch. On the (once per 2^32 epochs)
+// wraparound it clears the buffer's whole capacity: a later stamps(n)
+// may reslice past the current length, and stale stamps there must not
+// alias the restarted epochs.
 func (sc *prepScratch) nextEpoch() uint32 {
 	sc.epoch++
 	if sc.epoch == 0 {
-		clear(sc.st)
+		clear(sc.st[:cap(sc.st)])
 		sc.epoch = 1
 	}
 	return sc.epoch
 }
 
-// dedupTable removes duplicate clauses in first-occurrence order — the
-// exact semantics of DNF.Normalize — over a reusable open-addressing
-// table instead of a freshly allocated map.
+// maxVar returns the largest variable of d, or -1 when d has none.
+// Clauses keep their atoms sorted by variable.
+func maxVar(d formula.DNF) formula.Var {
+	m := formula.Var(-1)
+	for _, c := range d {
+		if len(c) > 0 && c[len(c)-1].Var > m {
+			m = c[len(c)-1].Var
+		}
+	}
+	return m
+}
+
+// dedupTable is a reusable open-addressing set of item indices: it
+// removes duplicate clauses in first-occurrence order — the exact
+// semantics of DNF.Normalize — and counts distinct clause projections
+// for the independent-and factorization, without a per-call map.
 type dedupTable struct {
 	idx   []int32
 	stamp []uint32
 	epoch uint32
+	mask  uint64
+}
+
+// reset empties the table and sizes it for n items.
+func (t *dedupTable) reset(n int) {
+	want := 2 * n
+	if len(t.idx) < want || t.idx == nil {
+		size := 16
+		for size < want {
+			size <<= 1
+		}
+		t.idx = make([]int32, size)
+		t.stamp = make([]uint32, size)
+		t.epoch = 0
+		t.mask = uint64(size - 1)
+	}
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.stamp)
+		t.epoch = 1
+	}
+}
+
+// insert adds item i with hash h unless an item j already present
+// satisfies same(j); it reports whether i was added. Equal items must
+// hash alike; hash collisions are resolved by same.
+func (t *dedupTable) insert(h uint64, i int, same func(j int32) bool) bool {
+	slot := h & t.mask
+	for t.stamp[slot] == t.epoch {
+		if same(t.idx[slot]) {
+			return false
+		}
+		slot = (slot + 1) & t.mask
+	}
+	t.stamp[slot] = t.epoch
+	t.idx[slot] = int32(i)
+	return true
 }
 
 // dedup compacts d in place (the caller owns d's backing array) and
@@ -117,37 +164,11 @@ type dedupTable struct {
 // order. Collisions are resolved by structural comparison, so the
 // result matches Normalize clause for clause.
 func (t *dedupTable) dedup(d formula.DNF) formula.DNF {
-	want := 2 * len(d)
-	size := len(t.idx)
-	if size < want {
-		size = 16
-		for size < want {
-			size <<= 1
-		}
-		t.idx = make([]int32, size)
-		t.stamp = make([]uint32, size)
-		t.epoch = 0
-	}
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.stamp)
-		t.epoch = 1
-	}
-	mask := uint64(size - 1)
+	t.reset(len(d))
 	out := d[:0]
 	for _, c := range d {
-		slot := c.Hash() & mask
-		for {
-			if t.stamp[slot] != t.epoch {
-				t.stamp[slot] = t.epoch
-				t.idx[slot] = int32(len(out))
-				out = append(out, c)
-				break
-			}
-			if out[t.idx[slot]].Equal(c) {
-				break // duplicate: keep the first occurrence only
-			}
-			slot = (slot + 1) & mask
+		if t.insert(c.Hash(), len(out), func(j int32) bool { return out[j].Equal(c) }) {
+			out = append(out, c)
 		}
 	}
 	return out

@@ -351,4 +351,3 @@ func groupSink(cur cursor, cols []int) ([]pdb.Answer, int64) {
 	}
 	return out, tuples
 }
-
