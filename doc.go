@@ -69,13 +69,15 @@
 //     answer is yielded the moment its membership is proven, before
 //     refinement of the rest finishes.
 //
-//     db := repro.NewDB(space, relations...)
-//     sess := db.Session(repro.WithEps(1e-3))
-//     q := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(10)
-//     for a, err := range q.Run(ctx) {
-//     if err != nil { ... }
-//     fmt.Println(a.Vals, a.P)
-//     }
+// For example:
+//
+//	db := repro.NewDB(space, relations...)
+//	sess := db.Session(repro.WithEps(1e-3))
+//	q := sess.Query("R").Join(sess.Query("S"), 1, 0).GroupLineage(3).TopK(10)
+//	for a, err := range q.Run(ctx) {
+//		if err != nil { ... }
+//		fmt.Println(a.Vals, a.P)
+//	}
 //
 // Build-time failures (unregistered relations, empty projections,
 // nested ranking operators, ...) surface as BuildErrors from Build or
